@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rdmc/internal/rdma/reliab"
 	"rdmc/internal/schedule"
 )
 
@@ -182,5 +183,31 @@ func TestGroupSizes(t *testing.T) {
 	}
 	if got := len(groupSizes(Quick)); got >= 14 {
 		t.Errorf("quick sweep has %d sizes, want a trimmed set", got)
+	}
+}
+
+// TestWANTransferDrainsByHorizon runs the golden WAN experiment's deadline-
+// bounded transfers and asserts the event queue is empty by the horizon: once
+// every member holds the message the reliability layer has cancelled its
+// retransmit and FEC-flush timers, so nothing stale is left queued.
+func TestWANTransferDrainsByHorizon(t *testing.T) {
+	for _, fec := range []bool{false, true} {
+		for _, loss := range []float64{0, 0.01} {
+			cl := WANCluster(2, 1, loss, 11)
+			rcfg := &reliab.Config{RTO: 0.2, MaxRTO: 0.8, Seed: 11}
+			if fec {
+				rcfg.FECGroup = 8
+			}
+			d := deployReliab(cl, false, rcfg)
+			g := wanGroup(d, cl.Nodes)
+			g.send(4 * mib)
+			drained := d.grid.RunUntil(wanDeadline)
+			if g.failures != 0 || g.delivered != len(g.members) {
+				t.Fatalf("fec=%v loss=%v: delivered %d/%d, %d failures", fec, loss, g.delivered, len(g.members), g.failures)
+			}
+			if n := d.grid.Sim().Pending(); !drained || n != 0 {
+				t.Errorf("fec=%v loss=%v: %d events still queued at the %v s horizon", fec, loss, n, wanDeadline)
+			}
+		}
 	}
 }

@@ -107,6 +107,7 @@ type Group struct {
 	// refused a send the credit path had already licensed.
 	throttleHeld  int
 	stallThrottle uint64
+	resumeFn      func() // g.resume, bound once so Acquire does not allocate
 
 	// Notice deferral: while a completion batch is being processed (see
 	// Engine.onCompletionBatch), outbound ready-for-block notices merge
@@ -187,6 +188,7 @@ func (e *Engine) CreateGroup(id GroupID, members []rdma.NodeID, cfg GroupConfig)
 		failedVia:   make(map[rdma.NodeID]bool),
 		closeAcks:   make(map[int]bool),
 	}
+	g.resumeFn = g.resume
 	for i, m := range members {
 		if m == e.NodeID() {
 			g.rank = i

@@ -46,7 +46,7 @@ func (g *Group) acquireThrottleLocked(n int) bool {
 	if th == nil {
 		return true
 	}
-	if !th.Acquire(g.id, n, g.resume) {
+	if !th.Acquire(g.id, n, g.resumeFn) {
 		g.stallThrottle++
 		return false
 	}

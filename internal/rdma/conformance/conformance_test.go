@@ -31,7 +31,8 @@ func TestSimnicConformance(t *testing.T) {
 			B:      network.Provider(1),
 			Settle: func() { sim.Run() },
 			Timer: func(d float64, fn func()) func() {
-				ev := sim.After(d, fn)
+				ev := sim.NewEvent(fn)
+				ev.Schedule(sim.Now() + d)
 				return ev.Cancel
 			},
 		}

@@ -33,7 +33,8 @@ func testNet(t *testing.T, loss float64, cfg Config) (*simnet.Sim, *simnet.Clust
 	net := simnic.NewNetwork(cluster)
 	net.SetTolerant(true)
 	cfg.Timer = func(d float64, fn func()) func() {
-		ev := sim.After(d, fn)
+		ev := sim.NewEvent(fn)
+		ev.Schedule(sim.Now() + d)
 		return ev.Cancel
 	}
 	if cfg.RTO == 0 {

@@ -86,7 +86,8 @@ func New(cfg Config) (*Grid, error) {
 		if cfg.Reliab != nil {
 			rcfg := *cfg.Reliab
 			rcfg.Timer = func(d float64, fn func()) func() {
-				ev := sim.After(d, fn)
+				ev := sim.NewEvent(fn)
+				ev.Schedule(sim.Now() + d)
 				return ev.Cancel
 			}
 			if rcfg.MaxPayload == 0 {

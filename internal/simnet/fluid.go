@@ -90,7 +90,7 @@ type Flow struct {
 	path       []*Resource
 	lastUpdate float64 // virtual time at which remaining was settled
 	onDone     func()
-	doneEv     *Event
+	done       Event // completion, moved in place on every reallocation
 	finished   bool
 
 	// waterfill scratch state
@@ -170,6 +170,7 @@ func (f *Fabric) StartFlow(size float64, path []*Resource, onDone func()) *Flow 
 		lastUpdate: f.sim.Now(),
 		onDone:     onDone,
 	}
+	fl.done.bind(f.sim, func() { f.finish(fl) })
 	f.nextID++
 	f.allFlows = append(f.allFlows, fl)
 	comp := f.component(fl.path)
@@ -192,9 +193,7 @@ func (f *Fabric) Cancel(fl *Flow) {
 	if fl.finished {
 		return
 	}
-	if fl.doneEv != nil {
-		fl.doneEv.Cancel()
-	}
+	fl.done.Cancel()
 	comp := f.component(fl.path)
 	f.settle(comp)
 	// Retire only after component() has filtered the registry: compaction
@@ -406,11 +405,12 @@ func (f *Fabric) reallocate(flows []*Flow) {
 	}
 
 	for i, fl := range flows {
-		// A flow whose rate is unchanged keeps its completion event: the
+		// A flow whose rate is unchanged keeps its queued completion: the
 		// settle charged it up to now at the same rate, so the absolute
-		// completion time is identical. Skipping the reschedule keeps the
-		// event heap free of cancelled-event churn in large simulations.
-		if fl.doneEv != nil && !fl.doneEv.cancelled && sameRate(fl.rate, f.prevRates[i]) {
+		// completion time is identical. A completion that already fired
+		// (finish found the flow not yet finishable) is not queued and
+		// must be rescheduled whatever the rate.
+		if fl.done.Scheduled() && sameRate(fl.rate, f.prevRates[i]) {
 			continue
 		}
 		f.scheduleCompletion(fl)
@@ -430,20 +430,14 @@ func sameRate(a, b float64) bool {
 	return diff <= 1e-12*a
 }
 
+// scheduleCompletion moves the flow's completion event to its new ETA. The
+// reschedule takes a fresh sequence number, as a cancel-and-reschedule would.
 func (f *Fabric) scheduleCompletion(fl *Flow) {
-	if fl.doneEv != nil {
-		fl.doneEv.Cancel()
-		fl.doneEv = nil
-	}
-	if fl.finished {
-		return
-	}
 	var eta float64
 	if !f.finishable(fl) {
 		eta = fl.remaining / fl.rate
 	}
-	target := fl
-	fl.doneEv = f.sim.After(eta, func() { f.finish(target) })
+	fl.done.Schedule(f.sim.now + eta)
 }
 
 // finishable reports whether a flow's residual bytes are beyond the clock's
@@ -505,11 +499,11 @@ func (f *Fabric) heapPop() shareEntry {
 	return top
 }
 
+// remove deletes fl from flows in place, keeping id order. Callers pass the
+// fabric's component scratch, so nothing is copied out.
 func remove(flows []*Flow, fl *Flow) []*Flow {
-	for i, g := range flows {
-		if g == fl {
-			return append(flows[:i:i], flows[i+1:]...)
-		}
+	if i := slices.Index(flows, fl); i >= 0 {
+		return slices.Delete(flows, i, i+1)
 	}
 	return flows
 }

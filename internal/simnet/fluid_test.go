@@ -126,6 +126,23 @@ func TestCancelReleasesBandwidthToSurvivors(t *testing.T) {
 	approx(t, t1, 1.25, 1e-9, "survivor completion")
 }
 
+// A completion that fires while the flow still holds a residue the clock can
+// resolve must be requeued even though the flow's rate is unchanged;
+// otherwise the flow never completes and the queue drains without it.
+func TestCompletionFiredEarlyIsRescheduled(t *testing.T) {
+	s := NewSim(1)
+	f := NewFabric(s)
+	r := NewResource("r", 100)
+	var done float64 = -1
+	fl := f.StartFlow(100, []*Resource{r}, func() { done = s.Now() })
+	s.At(0.5, func() { fl.remaining += 0.5 })
+	s.Run()
+	approx(t, done, 1.005, 1e-9, "completion after residue")
+	if n := s.Pending(); n != 0 {
+		t.Errorf("Pending = %d after Run, want 0", n)
+	}
+}
+
 func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 	s := NewSim(1)
 	f := NewFabric(s)

@@ -18,17 +18,38 @@
 package simnet
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
 
 // Sim is a discrete-event simulation engine with a virtual clock.
+//
+// The queue is a binary min-heap of value entries keyed by (time, seq), where
+// seq is a per-Sim counter taken at scheduling time. Fire-and-forget
+// callbacks (At, After) are bare entries. A cancellable callback is an Event
+// handle that records its heap slot, so cancelling removes its entry and
+// rescheduling moves it in place: the heap only ever holds live entries.
 type Sim struct {
 	now    float64
 	seq    int64
-	events eventHeap
+	events []entry
 	rng    *rand.Rand
+}
+
+// entry is one queued callback. ev is the owning handle of a cancellable
+// event, nil for a fire-and-forget one.
+type entry struct {
+	time float64
+	seq  int64
+	fn   func()
+	ev   *Event
+}
+
+func (a *entry) less(b *entry) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
 }
 
 // NewSim returns an engine whose clock starts at zero. The seed fixes all
@@ -49,20 +70,23 @@ func (s *Sim) NowDuration() time.Duration {
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// runs the event at the current time (events never travel backwards).
-func (s *Sim) At(t float64, fn func()) *Event {
-	if t < s.now {
-		t = s.now
-	}
-	ev := &Event{time: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.events, ev)
-	return ev
+// runs the event at the current time (events never travel backwards). Use
+// NewEvent for a callback that may need cancelling or moving.
+func (s *Sim) At(t float64, fn func()) {
+	s.push(entry{time: s.clamp(t), seq: s.nextSeq(), fn: fn})
 }
 
 // After schedules fn to run d seconds of virtual time from now.
-func (s *Sim) After(d float64, fn func()) *Event {
-	return s.At(s.now+d, fn)
+func (s *Sim) After(d float64, fn func()) {
+	s.At(s.now+d, fn)
+}
+
+// NewEvent returns an unscheduled, reusable handle that runs fn each time it
+// fires.
+func (s *Sim) NewEvent(fn func()) *Event {
+	ev := &Event{}
+	ev.bind(s, fn)
+	return ev
 }
 
 // Run executes events until the queue is empty and returns the final time.
@@ -75,98 +99,160 @@ func (s *Sim) Run() float64 {
 // RunUntil executes events with time ≤ deadline; remaining events stay queued.
 // It reports whether the queue was drained.
 func (s *Sim) RunUntil(deadline float64) bool {
-	for {
-		ev := s.peek()
-		if ev == nil {
-			return true
-		}
-		if ev.time > deadline {
+	for len(s.events) > 0 {
+		if s.events[0].time > deadline {
 			s.now = deadline
 			return false
 		}
 		s.Step()
 	}
+	return true
 }
 
 // Step executes the single earliest pending event. It reports whether an
 // event was executed.
 func (s *Sim) Step() bool {
-	for {
-		if s.events.Len() == 0 {
-			return false
-		}
-		ev, ok := heap.Pop(&s.events).(*Event)
-		if !ok || ev.cancelled {
-			continue
-		}
-		s.now = ev.time
-		ev.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
+	e := s.events[0]
+	s.removeAt(0)
+	s.now = e.time
+	e.fn()
+	return true
 }
 
-// Pending reports the number of live queued events.
-func (s *Sim) Pending() int {
-	n := 0
-	for _, ev := range s.events {
-		if !ev.cancelled {
-			n++
-		}
+// Pending reports the number of queued events. Cancelled events leave the
+// queue immediately, so every queued event is live.
+func (s *Sim) Pending() int { return len(s.events) }
+
+func (s *Sim) clamp(t float64) float64 {
+	if t < s.now {
+		return s.now
 	}
-	return n
+	return t
 }
 
-func (s *Sim) peek() *Event {
-	for s.events.Len() > 0 {
-		if ev := s.events[0]; !ev.cancelled {
-			return ev
-		}
-		heap.Pop(&s.events)
-	}
-	return nil
+func (s *Sim) nextSeq() int64 {
+	seq := s.seq
+	s.seq++
+	return seq
 }
 
-// Event is a handle to a scheduled callback; it can be cancelled before it
-// fires.
+// Event is a handle to a cancellable callback. It can be scheduled, moved
+// and cancelled any number of times; it is queued at most once at a time.
 type Event struct {
-	time      float64
-	seq       int64
-	fn        func()
-	cancelled bool
+	sim   *Sim
+	fn    func()
+	time  float64
+	index int // heap slot while queued, -1 otherwise
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired event is
-// a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
+// bind initialises an Event embedded in another value.
+func (e *Event) bind(s *Sim, fn func()) {
+	*e = Event{sim: s, fn: fn, index: -1}
+}
 
-// Time returns the virtual time the event is scheduled for.
+// Schedule queues the event for absolute virtual time t (clamped to now), or
+// moves it there if it is already queued. Either way it takes a fresh
+// scheduling sequence number, so among events due at the same time it fires
+// after every event scheduled before this call — exactly as if it had been
+// cancelled and scheduled anew.
+func (e *Event) Schedule(t float64) {
+	s := e.sim
+	e.time = s.clamp(t)
+	en := entry{time: e.time, seq: s.nextSeq(), fn: e.fn, ev: e}
+	if e.index < 0 {
+		s.push(en)
+		return
+	}
+	i := e.index
+	s.events[i] = en
+	if !s.up(i) {
+		s.down(i)
+	}
+}
+
+// Cancel removes the event from the queue. Cancelling an event that is not
+// queued — never scheduled, already fired, or already cancelled — is a no-op.
+func (e *Event) Cancel() {
+	if e.index >= 0 {
+		e.sim.removeAt(e.index)
+	}
+}
+
+// Scheduled reports whether the event is queued.
+func (e *Event) Scheduled() bool { return e.index >= 0 }
+
+// Time returns the virtual time the event was last scheduled for.
 func (e *Event) Time() float64 { return e.time }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
+func (s *Sim) push(e entry) {
+	s.events = append(s.events, e)
+	s.up(len(s.events) - 1)
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if ok {
-		*h = append(*h, ev)
+// removeAt deletes the entry in slot i, clearing its handle's slot.
+func (s *Sim) removeAt(i int) {
+	h := s.events
+	if ev := h[i].ev; ev != nil {
+		ev.index = -1
+	}
+	n := len(h) - 1
+	if i != n {
+		h[i] = h[n]
+	}
+	h[n] = entry{}
+	s.events = h[:n]
+	if i != n && !s.up(i) {
+		s.down(i)
 	}
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// set stores e in slot i and records the slot on its handle.
+func (s *Sim) set(i int, e entry) {
+	s.events[i] = e
+	if e.ev != nil {
+		e.ev.index = i
+	}
+}
+
+// up sifts slot i toward the root and reports whether it moved. The slot's
+// handle index is brought up to date either way.
+func (s *Sim) up(i int) bool {
+	h := s.events
+	e := h[i]
+	start := i
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(&h[p]) {
+			break
+		}
+		s.set(i, h[p])
+		i = p
+	}
+	s.set(i, e)
+	return i != start
+}
+
+// down sifts slot i toward the leaves.
+func (s *Sim) down(i int) {
+	h := s.events
+	n := len(h)
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(&h[c]) {
+			c = r
+		}
+		if !h[c].less(&e) {
+			break
+		}
+		s.set(i, h[c])
+		i = c
+	}
+	s.set(i, e)
 }

@@ -33,12 +33,12 @@ func TestParseBenchLinePlain(t *testing.T) {
 
 func TestParseBenchLineRejectsNonResults(t *testing.T) {
 	for _, line := range []string{
-		"BenchmarkSendWindow/tcpnic/size=16MB/w=4",       // progress line, no fields
-		"goos: linux",                                    // metadata
-		"PASS",                                           // terminator
-		"BenchmarkFoo \t notanumber \t 123 ns/op",        // bad iteration count
-		"ok  \trdmc\t12.3s",                              // summary
-		"BenchmarkBar \t 5 \t some trailing words",       // no ns/op pair
+		"BenchmarkSendWindow/tcpnic/size=16MB/w=4", // progress line, no fields
+		"goos: linux", // metadata
+		"PASS",        // terminator
+		"BenchmarkFoo \t notanumber \t 123 ns/op",  // bad iteration count
+		"ok  \trdmc\t12.3s",                        // summary
+		"BenchmarkBar \t 5 \t some trailing words", // no ns/op pair
 	} {
 		if _, _, ok := parseBenchLine(line); ok {
 			t.Errorf("parseBenchLine accepted %q", line)

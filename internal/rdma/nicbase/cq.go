@@ -48,17 +48,43 @@ type CompletionQueue struct {
 	handler func(rdma.Completion)
 	batch   func([]rdma.Completion)
 
-	// Event mode.
+	// Event mode. cells holds idle delivery cells, guarded by mu.
 	submit func(fn func())
+	cells  []*deliveryCell
 
 	// Ring mode.
 	ring *Ring
 	wg   sync.WaitGroup
 }
 
+// deliveryCell carries one event-mode delivery: the completion and the
+// consumer installed when it was posted. run is the cell's deliver method,
+// bound once, so a pooled cell hands submit a callback without allocating.
+type deliveryCell struct {
+	q   *CompletionQueue
+	c   [1]rdma.Completion
+	h   func(rdma.Completion)
+	bh  func([]rdma.Completion)
+	run func()
+}
+
+func (d *deliveryCell) deliver() {
+	if d.bh != nil {
+		d.bh(d.c[:])
+	} else {
+		d.h(d.c[0])
+	}
+	// Handlers re-enter Post, so the cell goes back to the pool only now.
+	q := d.q
+	*d = deliveryCell{q: q, run: d.run}
+	q.mu.Lock()
+	q.cells = append(q.cells, d)
+	q.mu.Unlock()
+}
+
 // NewEventCQ builds a completion queue for event-loop transports: each
-// posted completion is wrapped in a closure and handed to submit, which must
-// run closures serially (the simulation's CPU model already does).
+// posted completion rides a pooled delivery cell handed to submit, which
+// must run callbacks serially (the simulation's CPU model already does).
 func NewEventCQ(submit func(fn func())) *CompletionQueue {
 	return &CompletionQueue{submit: submit}
 }
@@ -109,17 +135,36 @@ func (q *CompletionQueue) Post(c rdma.Completion) {
 		q.mu.Lock()
 		h, bh := q.handler, q.batch
 		q.mu.Unlock()
-		switch {
-		case bh != nil:
+		if bh != nil {
 			// Event mode has no queue to drain: every batch is one element.
 			q.batchSize.Observe(1)
-			q.submit(func() { bh([]rdma.Completion{c}) })
-		case h != nil:
-			q.submit(func() { h(c) })
 		}
+		q.submitCell(c, h, bh)
 		return
 	}
 	q.ring.Push(c)
+}
+
+// submitCell submits one event-mode delivery of c to whichever of h and bh
+// is set, in a cell from the pool (or a new one while the pool is empty).
+func (q *CompletionQueue) submitCell(c rdma.Completion, h func(rdma.Completion), bh func([]rdma.Completion)) {
+	if h == nil && bh == nil {
+		return
+	}
+	q.mu.Lock()
+	var d *deliveryCell
+	if n := len(q.cells); n > 0 {
+		d = q.cells[n-1]
+		q.cells[n-1] = nil
+		q.cells = q.cells[:n-1]
+	}
+	q.mu.Unlock()
+	if d == nil {
+		d = &deliveryCell{q: q}
+		d.run = d.deliver
+	}
+	d.c[0], d.h, d.bh = c, h, bh
+	q.submit(d.run)
 }
 
 // PostBatch delivers a run of completions in order with one ring operation —
@@ -142,8 +187,7 @@ func (q *CompletionQueue) PostBatch(cs []rdma.Completion) {
 			q.submit(func() { bh(batch) })
 		case h != nil:
 			for _, c := range cs {
-				c := c
-				q.submit(func() { h(c) })
+				q.submitCell(c, h, nil)
 			}
 		}
 		return

@@ -45,6 +45,47 @@ func TestEventCQDeliversSerially(t *testing.T) {
 	}
 }
 
+func TestEventCQPostAllocatesNothing(t *testing.T) {
+	// Steady-state Post reuses pooled delivery cells, including when a
+	// handler re-enters Post from inside a delivery, as engines do.
+	var queue []func()
+	cq := NewEventCQ(func(fn func()) { queue = append(queue, fn) })
+	var got []uint64
+	reenter := func(c rdma.Completion) {
+		got = append(got, c.WRID)
+		if c.WRID == 1 {
+			cq.Post(rdma.Completion{WRID: 2})
+		}
+	}
+	round := func() {
+		got = got[:0]
+		cq.Post(rdma.Completion{WRID: 1})
+		for i := 0; i < len(queue); i++ {
+			queue[i]()
+		}
+		queue = queue[:0]
+		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("deliveries = %v, want [1 2]", got)
+		}
+	}
+	for _, install := range []func(){
+		func() { cq.SetHandler(reenter) },
+		func() {
+			cq.SetBatchHandler(func(cs []rdma.Completion) {
+				for _, c := range cs {
+					reenter(c)
+				}
+			})
+		},
+	} {
+		install()
+		round() // grow the pool and the scratch slices
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("event-mode Post allocates %.1f objects per round, want 0", allocs)
+		}
+	}
+}
+
 func TestEventCQDropsWithoutHandler(t *testing.T) {
 	var queue []func()
 	cq := NewEventCQ(func(fn func()) { queue = append(queue, fn) })
@@ -193,17 +234,21 @@ func TestBufPoolRecycles(t *testing.T) {
 	if len(b1) != 64 {
 		t.Fatalf("Get(64) len = %d", len(b1))
 	}
-	p.Put(b1)
-	b2 := p.Get(32)
-	if len(b2) != 32 {
-		t.Fatalf("Get(32) len = %d", len(b2))
+	// A pool hit must reuse the backing array (same class, larger length).
+	// sync.Pool may drop any Put — on GC, and at random under the race
+	// detector — and a fresh Get(32) has the same 64-byte capacity, so a
+	// drop cannot be told from a miss: allow a few rounds.
+	reused := false
+	for round := 0; round < 16 && !reused; round++ {
+		p.Put(b1)
+		b2 := p.Get(32)
+		if len(b2) != 32 {
+			t.Fatalf("Get(32) len = %d", len(b2))
+		}
+		reused = &b1[:1][0] == &b2[:1][0]
 	}
-	// A pool hit must reuse the backing array (same pool, larger capacity).
-	if cap(b2) < 64 {
-		t.Skip("sync.Pool dropped the buffer (GC pressure); nothing to assert")
-	}
-	if &b1[:1][0] != &b2[:1][0] {
-		t.Error("pooled buffer not reused")
+	if !reused {
+		t.Error("pooled buffer not reused in 16 rounds")
 	}
 	p.Put(nil) // must not panic
 	if got := p.Get(128); len(got) != 128 {

@@ -155,6 +155,18 @@ type sendWR struct {
 	data   []byte
 }
 
+// arrival is what the wire carries to the peer for this request.
+func (wr *sendWR) arrival() arrival {
+	return arrival{
+		bytes:  wr.buf.Len,
+		imm:    wr.imm,
+		data:   wr.buf.Data,
+		write:  wr.write,
+		region: wr.region,
+		offset: wr.offset,
+	}
+}
+
 type recvWR struct {
 	buf  rdma.Buffer
 	wrID uint64
@@ -175,13 +187,16 @@ type arrival struct {
 // predecessors through the fair-shared fabric), so completion and arrival
 // are held until every earlier entry has landed — the FIFO delivery an RC
 // queue pair guarantees no matter how deeply the NIC pipelines.
+//
+// Entries are recycled per queue pair, and start and outcome are the entry's
+// transmit and landed methods bound once when it is first made, so a
+// steady-state send allocates no entry and no callback.
 type sendEntry struct {
-	wr   sendWR
-	done bool
-	// lost marks a tolerant-mode frame the fabric dropped: the local send
-	// completes normally (the bytes left the NIC) but no arrival is
-	// delivered.
-	lost bool
+	q       *queuePair
+	wr      sendWR
+	done    bool
+	start   func()
+	outcome func(simnet.Outcome)
 }
 
 // queuePair is one simulated RC endpoint. Up to window work requests execute
@@ -197,9 +212,20 @@ type queuePair struct {
 	remote   *queuePair
 	pending  []sendWR     // posted, not yet launched
 	flight   []*sendEntry // launched, in post order (reorder buffer)
+	free     []*sendEntry // drained entries awaiting reuse
 	recvs    []recvWR
 	arrivals []arrival
 	broken   bool
+}
+
+// shift drops the head of a queue in place, keeping the backing array for
+// later appends (reslicing from the front would strand its capacity and make
+// append reallocate).
+func shift[T any](s []T) []T {
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	return s[:n]
 }
 
 var _ rdma.QueuePair = (*queuePair)(nil)
@@ -251,7 +277,7 @@ func (q *queuePair) PostRecv(buf rdma.Buffer, wrID uint64) error {
 			q.breakBoth()
 			return rdma.ErrBufferTooSmall
 		}
-		q.arrivals = q.arrivals[1:]
+		q.arrivals = shift(q.arrivals)
 		q.completeRecv(recvWR{buf: buf, wrID: wrID}, a)
 		return nil
 	}
@@ -281,71 +307,66 @@ func (q *queuePair) maybeStart() {
 		return
 	}
 	for len(q.flight) < q.window && len(q.pending) > 0 {
-		wr := q.pending[0]
-		q.pending = q.pending[1:]
-		e := &sendEntry{wr: wr}
+		e := q.entry(q.pending[0])
+		q.pending = shift(q.pending)
 		q.flight = append(q.flight, e)
-		start := func() { q.transmit(e) }
 		if q.local.offload {
-			start()
+			e.transmit()
 			continue
 		}
-		q.local.cpu().Exec(q.local.cpu().Config().PostCost, start)
+		q.local.cpu().Exec(q.local.cpu().Config().PostCost, e.start)
 	}
 }
 
-func (q *queuePair) transmit(e *sendEntry) {
+// entry returns a recycled (or, while the pool is empty, new) send entry
+// holding wr.
+func (q *queuePair) entry(wr sendWR) *sendEntry {
+	var e *sendEntry
+	if n := len(q.free); n > 0 {
+		e = q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+	} else {
+		e = &sendEntry{q: q}
+		e.start, e.outcome = e.transmit, e.landed
+	}
+	e.wr = wr
+	return e
+}
+
+// transmit puts the entry's frame on the wire. On the loss-tolerant wire a
+// dropped frame vanishes instead of breaking the pair, and arrivals land at
+// actual arrival time so a reordering fabric is observable; local send
+// completions still drain in post order — the NIC reports its own work FIFO
+// either way.
+func (e *sendEntry) transmit() {
+	q := e.q
 	if q.broken {
 		return
 	}
-	src := simnet.NodeID(q.local.NodeID())
-	dst := simnet.NodeID(q.peer)
-	if q.tolerant {
-		// Loss-tolerant wire: a dropped frame vanishes instead of breaking
-		// the pair, and arrivals land at actual arrival time so a reordering
-		// fabric is observable. Local send completions still drain in post
-		// order — the NIC reports its own work FIFO either way.
-		q.local.net.cluster.TransferFrame(src, dst, float64(e.wr.buf.Len), func(o simnet.Outcome) {
-			if q.broken {
-				return
-			}
-			if o == simnet.OutcomeBroken {
-				q.breakBoth()
-				return
-			}
-			e.done = true
-			switch {
-			case o == simnet.OutcomeLost:
-				e.lost = true
-			case q.remote == nil || q.remote.broken:
-				// A frame into a torn-down peer vanishes; drainFlight
-				// surfaces the breakage when this entry reaches the head.
-				e.lost = true
-			default:
-				q.remote.onArrival(arrival{
-					bytes:  e.wr.buf.Len,
-					imm:    e.wr.imm,
-					data:   e.wr.buf.Data,
-					write:  e.wr.write,
-					region: e.wr.region,
-					offset: e.wr.offset,
-				}, e.wr.data)
-			}
-			q.drainFlight()
-		})
+	q.local.net.cluster.Frame(simnet.NodeID(q.local.NodeID()), simnet.NodeID(q.peer),
+		float64(e.wr.buf.Len), q.tolerant, e.outcome)
+}
+
+// landed takes the fabric's verdict on the entry's frame.
+func (e *sendEntry) landed(o simnet.Outcome) {
+	q := e.q
+	if q.broken {
 		return
 	}
-	q.local.net.cluster.Transfer(src, dst, float64(e.wr.buf.Len), func(broken bool) {
-		if q.broken {
-			return
-		}
-		if broken {
-			q.breakBoth()
-			return
-		}
-		e.done = true
-		q.drainFlight()
-	})
+	if o == simnet.OutcomeBroken {
+		q.breakBoth()
+		return
+	}
+	e.done = true
+	// A tolerant frame lands now unless the fabric dropped it or the peer
+	// was torn down (drainFlight surfaces that breakage when this entry
+	// reaches the head); a lost frame's send still completes normally — the
+	// bytes left the NIC — but produces no arrival.
+	if q.tolerant && o == simnet.OutcomeDelivered && q.remote != nil && !q.remote.broken {
+		q.remote.onArrival(e.wr.arrival(), e.wr.data)
+	}
+	q.drainFlight()
 }
 
 // drainFlight delivers finished flows in post order: completion to the local
@@ -360,9 +381,9 @@ func (q *queuePair) drainFlight() {
 			q.breakConn()
 			return
 		}
-		e := q.flight[0]
-		q.flight = q.flight[1:]
-		wr := e.wr
+		wr := q.flight[0].wr
+		q.recycle(q.flight[0])
+		q.flight = shift(q.flight)
 		op := rdma.OpSend
 		if wr.write {
 			op = rdma.OpWrite
@@ -380,16 +401,16 @@ func (q *queuePair) drainFlight() {
 			// flow-completion time; lost frames produce no arrival at all.
 			continue
 		}
-		q.remote.onArrival(arrival{
-			bytes:  wr.buf.Len,
-			imm:    wr.imm,
-			data:   wr.buf.Data,
-			write:  wr.write,
-			region: wr.region,
-			offset: wr.offset,
-		}, wr.data)
+		q.remote.onArrival(wr.arrival(), wr.data)
 	}
 	q.maybeStart()
+}
+
+// recycle returns a drained entry to the pool, dropping its buffer
+// references.
+func (q *queuePair) recycle(e *sendEntry) {
+	e.wr, e.done = sendWR{}, false
+	q.free = append(q.free, e)
 }
 
 func (q *queuePair) onArrival(a arrival, writeData []byte) {
@@ -407,7 +428,7 @@ func (q *queuePair) onArrival(a arrival, writeData []byte) {
 		return
 	}
 	wr := q.recvs[0]
-	q.recvs = q.recvs[1:]
+	q.recvs = shift(q.recvs)
 	q.completeRecv(wr, a)
 }
 

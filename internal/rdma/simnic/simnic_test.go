@@ -80,6 +80,36 @@ func TestSendRecvDeliversDataAndImmediate(t *testing.T) {
 	}
 }
 
+func TestSteadyStateBlockAllocatesOneFlow(t *testing.T) {
+	// A send/recv pair in steady state reuses the queue pair's send entry
+	// and queues and the completion queue's cells: the fabric Flow carrying
+	// the block is its only allocation.
+	sim, _, p, _ := newNet(t, 2)
+	completions := 0
+	for _, pr := range p {
+		pr.SetHandler(func(rdma.Completion) { completions++ })
+	}
+	qa, qb := connect(t, p[0], p[1], 1)
+	buf := rdma.SizeBuffer(64)
+	block := func() {
+		completions = 0
+		if err := qb.PostRecv(buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := qa.PostSend(buf, 7, 1); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+		if completions != 2 {
+			t.Fatalf("%d completions, want 2", completions)
+		}
+	}
+	block()
+	if allocs := testing.AllocsPerRun(100, block); allocs > 1 {
+		t.Errorf("steady-state block allocates %.1f objects, want at most 1 (the Flow)", allocs)
+	}
+}
+
 func TestSendBeforeRecvIsBuffered(t *testing.T) {
 	sim, _, ps, logs := newNet(t, 2)
 	qa, qb := connect(t, ps[0], ps[1], 1)

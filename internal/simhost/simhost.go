@@ -54,6 +54,8 @@ type Grid struct {
 	engines  []*core.Engine
 	reliabs  []*reliab.Provider
 	handlers []func(from rdma.NodeID, m core.CtrlMsg)
+	// ctrlCells holds idle control-message cells (see gridControl.Send).
+	ctrlCells []*ctrlCell
 }
 
 // New builds the deployment.
@@ -198,15 +200,42 @@ type gridControl struct {
 
 var _ core.Control = (*gridControl)(nil)
 
-// Send implements core.Control.
+// Send implements core.Control. The message rides a pooled cell; a frame
+// the cluster drops hands its cell straight back.
 func (c *gridControl) Send(to rdma.NodeID, m core.CtrlMsg) error {
-	src, dst := c.local, to
-	c.grid.cluster.Ctrl(simnet.NodeID(src), simnet.NodeID(dst), func() {
-		if h := c.grid.handlers[dst]; h != nil {
-			h(src, m)
-		}
-	})
+	g := c.grid
+	var d *ctrlCell
+	if n := len(g.ctrlCells); n > 0 {
+		d = g.ctrlCells[n-1]
+		g.ctrlCells[n-1] = nil
+		g.ctrlCells = g.ctrlCells[:n-1]
+	} else {
+		d = &ctrlCell{grid: g}
+		d.run = d.deliver
+	}
+	d.src, d.dst, d.m = c.local, to, m
+	if !g.cluster.Ctrl(simnet.NodeID(c.local), simnet.NodeID(to), d.run) {
+		g.ctrlCells = append(g.ctrlCells, d)
+	}
 	return nil
+}
+
+// ctrlCell carries one control message in flight. run is the cell's deliver
+// method, bound once, so a pooled cell schedules delivery without
+// allocating.
+type ctrlCell struct {
+	grid     *Grid
+	src, dst rdma.NodeID
+	m        core.CtrlMsg
+	run      func()
+}
+
+func (d *ctrlCell) deliver() {
+	if h := d.grid.handlers[d.dst]; h != nil {
+		h(d.src, d.m)
+	}
+	// Handlers send in turn, so the cell goes back to the pool only now.
+	d.grid.ctrlCells = append(d.grid.ctrlCells, d)
 }
 
 // SetHandler implements core.Control.

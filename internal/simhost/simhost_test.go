@@ -64,6 +64,35 @@ func TestGridControlPreservesSenderOrder(t *testing.T) {
 	}
 }
 
+func TestGridControlSendAllocatesNothing(t *testing.T) {
+	grid, err := New(testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := &gridControl{grid: grid, local: 0}
+	sink := &gridControl{grid: grid, local: 1}
+	delivered := 0
+	sink.SetHandler(func(rdma.NodeID, core.CtrlMsg) { delivered++ })
+	send := func() {
+		_ = ctrl.Send(1, core.CtrlMsg{Kind: core.CtrlReadyBlock, Seq: 1})
+		grid.Run()
+	}
+	send() // grow the cell pool and the event heap
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("gridControl.Send allocates %.1f objects per message, want 0", allocs)
+	}
+	if delivered != 102 {
+		t.Errorf("delivered %d messages, want 102", delivered)
+	}
+	// A frame the cluster drops hands its cell straight back.
+	grid.Cluster().FailNode(1)
+	idle := len(grid.ctrlCells)
+	send()
+	if len(grid.ctrlCells) != idle || delivered != 102 {
+		t.Errorf("dropped frame: %d idle cells (want %d), %d delivered (want 102)", len(grid.ctrlCells), idle, delivered)
+	}
+}
+
 func TestGridHostClockAndCopy(t *testing.T) {
 	grid, err := New(Config{
 		Cluster: simnet.ClusterConfig{

@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // NodeID identifies a host within a simulated cluster.
@@ -68,9 +70,8 @@ type Cluster struct {
 	cfg    ClusterConfig
 	nodes  []*node
 
-	slow     map[[2]NodeID]*Resource
-	broken   map[[2]NodeID]bool
-	inFlight map[*Flow]transferState
+	slow   map[[2]NodeID]*Resource
+	broken map[[2]NodeID]bool
 
 	// lossRng feeds the fabric profile's loss and reorder draws. It is
 	// seeded independently of the simulation's source and untouched when no
@@ -89,11 +90,6 @@ type node struct {
 	down     bool
 }
 
-type transferState struct {
-	src, dst NodeID
-	onDone   func(Outcome)
-}
-
 // NewCluster builds a cluster over the given simulation engine.
 func NewCluster(sim *Sim, cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
@@ -107,13 +103,12 @@ func NewCluster(sim *Sim, cfg ClusterConfig) (*Cluster, error) {
 		lossSeed = cfg.Fabric.Seed
 	}
 	c := &Cluster{
-		sim:      sim,
-		fabric:   NewFabric(sim),
-		cfg:      cfg,
-		slow:     make(map[[2]NodeID]*Resource),
-		broken:   make(map[[2]NodeID]bool),
-		inFlight: make(map[*Flow]transferState),
-		lossRng:  rand.New(rand.NewSource(lossSeed)),
+		sim:     sim,
+		fabric:  NewFabric(sim),
+		cfg:     cfg,
+		slow:    make(map[[2]NodeID]*Resource),
+		broken:  make(map[[2]NodeID]bool),
+		lossRng: rand.New(rand.NewSource(lossSeed)),
 	}
 	var uplinks, downlinks []*Resource
 	if cfg.RackSize > 0 {
@@ -169,7 +164,7 @@ func (c *Cluster) SetLinkBandwidth(src, dst NodeID, bandwidth float64) {
 // immediately after it.
 func (c *Cluster) BreakLink(src, dst NodeID) {
 	c.broken[[2]NodeID{src, dst}] = true
-	c.breakMatching(func(t transferState) bool { return t.src == src && t.dst == dst })
+	c.breakMatching(func(fl *Flow) bool { return fl.src == src && fl.dst == dst })
 }
 
 // RestoreLink heals the directed pair src→dst after BreakLink: transfers
@@ -184,7 +179,7 @@ func (c *Cluster) RestoreLink(src, dst NodeID) {
 // FailNode takes a host down: every transfer to or from it breaks.
 func (c *Cluster) FailNode(id NodeID) {
 	c.nodes[id].down = true
-	c.breakMatching(func(t transferState) bool { return t.src == id || t.dst == id })
+	c.breakMatching(func(fl *Flow) bool { return fl.src == id || fl.dst == id })
 }
 
 // RestoreNode brings a failed host back: new transfers to and from it are
@@ -198,15 +193,23 @@ func (c *Cluster) RestoreNode(id NodeID) {
 // NodeFailed reports whether the host was failed.
 func (c *Cluster) NodeFailed(id NodeID) bool { return c.nodes[id].down }
 
-func (c *Cluster) breakMatching(match func(transferState) bool) {
-	for fl, st := range c.inFlight {
-		if !match(st) {
-			continue
+// breakMatching cancels every transfer in its fabric phase that match
+// selects and arms its broken notice after the retry timeout, in flow-id
+// order so the notices' tie order is the same on every run. Each such
+// transfer crosses its source's transmit port, so the ports list them all.
+func (c *Cluster) breakMatching(match func(*Flow) bool) {
+	var hit []*Flow
+	for _, n := range c.nodes {
+		for _, fl := range n.tx.flows {
+			if match(fl) {
+				hit = append(hit, fl)
+			}
 		}
+	}
+	slices.SortFunc(hit, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
+	for _, fl := range hit {
 		c.fabric.Cancel(fl)
-		delete(c.inFlight, fl)
-		done := st.onDone
-		c.sim.After(c.cfg.RetryTimeout, func() { done(OutcomeBroken) })
+		fl.notifyAfter(c.cfg.RetryTimeout, OutcomeBroken)
 	}
 }
 
@@ -224,21 +227,23 @@ func (c *Cluster) pairBroken(src, dst NodeID) bool {
 // severed connection. Self-transfers complete after the control latency
 // without consuming fabric capacity.
 func (c *Cluster) Transfer(src, dst NodeID, size float64, onDone func(broken bool)) {
-	c.frame(src, dst, size, false, func(o Outcome) { onDone(o == OutcomeBroken) })
+	c.Frame(src, dst, size, false, func(o Outcome) { onDone(o == OutcomeBroken) })
 }
 
-// Ctrl delivers a small control message (latency only, no bandwidth cost).
-// Frames on broken paths are silently dropped — the path swallows every
-// datagram until it heals — and on a lossy fabric each datagram is dropped
-// independently with the profile's CtrlLossRate (default 0: control traffic
-// rides the reliable bootstrap mesh, not the lossy bulk path). Both drops
-// route through the same frameFate decision point as bulk transfers, so
-// "broken" and "lossy" are the same two states everywhere in the cluster.
-func (c *Cluster) Ctrl(src, dst NodeID, onDeliver func()) {
+// Ctrl delivers a small control message (latency only, no bandwidth cost)
+// and reports whether it scheduled the delivery. Frames on broken paths are
+// silently dropped — the path swallows every datagram until it heals — and
+// on a lossy fabric each datagram is dropped independently with the
+// profile's CtrlLossRate (default 0: control traffic rides the reliable
+// bootstrap mesh, not the lossy bulk path). Both drops route through the
+// same frameFate decision point as bulk transfers, so "broken" and "lossy"
+// are the same two states everywhere in the cluster.
+func (c *Cluster) Ctrl(src, dst NodeID, onDeliver func()) bool {
 	if c.frameFate(src, dst, c.ctrlLoss(src, dst)) != OutcomeDelivered {
-		return
+		return false
 	}
 	c.sim.After(c.pathLatency(src, dst), onDeliver)
+	return true
 }
 
 // Racks returns the number of TOR trunks (zero under full bisection).
@@ -275,9 +280,10 @@ func (c *Cluster) NodePortFlows(id NodeID) (tx, rx int) {
 	return n.tx.ActiveFlows(), n.rx.ActiveFlows()
 }
 
-func (c *Cluster) path(src, dst NodeID) []*Resource {
+// appendPath appends the resources a src→dst transfer crosses — at most
+// five, the size of Flow.pathBuf — to path.
+func (c *Cluster) appendPath(path []*Resource, src, dst NodeID) []*Resource {
 	s, d := c.nodes[src], c.nodes[dst]
-	path := make([]*Resource, 0, 5)
 	path = append(path, s.tx)
 	if extra, ok := c.slow[[2]NodeID{src, dst}]; ok {
 		path = append(path, extra)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -171,6 +172,68 @@ func TestClusterNewTransferOnBrokenLinkFails(t *testing.T) {
 	s.Run()
 	if !broken {
 		t.Error("transfer on pre-broken link did not report failure")
+	}
+}
+
+func TestClusterFailNodeBreaksInFlowIDOrder(t *testing.T) {
+	// Several in-flight transfers broken by one FailNode arm their broken
+	// notices at the same instant, so the notices fire in the order they
+	// were armed. That order must be the flows' id order (here, launch
+	// order) on every run — not an order the run happens to produce, which
+	// is what ranging over a map of in-flight transfers gave. Transfers into
+	// the failed node are collected too, from their senders' ports.
+	pairs := [][2]NodeID{{0, 1}, {2, 0}, {0, 3}, {4, 0}, {0, 5}}
+	for run := 0; run < 20; run++ {
+		s := NewSim(1)
+		cfg := testConfig(6)
+		cfg.RetryTimeout = 0.01
+		c, err := NewCluster(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []int
+		for i, p := range pairs {
+			c.Transfer(p[0], p[1], 1000, func(broken bool) {
+				if !broken {
+					t.Errorf("transfer %d survived FailNode(0)", i)
+				}
+				order = append(order, i)
+			})
+		}
+		s.At(0.5, func() { c.FailNode(0) })
+		s.Run()
+		if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+			t.Fatalf("run %d: broken notices fired in order %v, want flow-id order [0 1 2 3 4]", run, order)
+		}
+	}
+}
+
+func TestClusterFrameAllocatesOneFlow(t *testing.T) {
+	// A block transfer's launch, fabric flow and notice all ride one Flow:
+	// with a callback bound once, the transfer costs that one allocation.
+	s := NewSim(1)
+	c, err := NewCluster(s, testConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	onDone := func(o Outcome) {
+		if o == OutcomeDelivered {
+			delivered++
+		}
+	}
+	frame := func() {
+		delivered = 0
+		c.Frame(0, 1, 100, false, onDone)
+		c.Frame(2, 1, 100, false, onDone)
+		s.Run()
+		if delivered != 2 {
+			t.Fatalf("delivered %d of 2 transfers", delivered)
+		}
+	}
+	frame() // grow the event heap and fabric scratch
+	if allocs := testing.AllocsPerRun(50, frame); allocs > 2 {
+		t.Errorf("two concurrent transfers allocate %.1f objects, want at most 2 (one Flow each)", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -19,6 +20,11 @@ type Resource struct {
 	capacity float64 // bytes per second
 	flows    []*Flow
 	fab      *Fabric // the fabric that last routed a flow across this resource
+
+	// order is the resource's rank in its fabric's name-ordered registry,
+	// renumbered whenever a registration inserts ahead of it. The waterfill
+	// breaks share ties on it, so no per-event pass recovers name order.
+	order int32
 
 	// Generation-stamped scratch for the fabric's traversals. A resource
 	// is "marked" when its stamp equals the fabric's current pass number,
@@ -83,19 +89,65 @@ func (r *Resource) removeFlow(f *Flow) {
 }
 
 // Flow is a bulk transfer in progress across a path of resources.
+//
+// A flow is also the whole of a cluster transfer (Cluster.Frame): it carries
+// the endpoints, callback and result, holds its path inline, and its one
+// event drives every phase — launch latency, fabric flow, then the
+// reorder-delay or retry-timeout notice — so a simulated block transfer
+// costs one allocation.
 type Flow struct {
 	id         int64
+	slot       int     // index in the fabric's id-ordered registry
 	remaining  float64 // bytes left at lastUpdate
 	rate       float64 // bytes per second under the current allocation
 	path       []*Resource
 	lastUpdate float64 // virtual time at which remaining was settled
-	onDone     func()
-	done       Event // completion, moved in place on every reallocation
+	fab        *Fabric
+	onDone     func() // StartFlow's callback; nil for a cluster transfer
+	ev         Event  // fires phase; in phaseFabric it is the completion
+	phase      flowPhase
 	finished   bool
+	fixed      bool // waterfill scratch
 
-	// waterfill scratch state
-	fixed    bool
-	visitGen uint64 // component-traversal mark (see Resource.visitGen)
+	// Cluster transfer state; cluster is nil for a bare fabric flow.
+	cluster  *Cluster
+	src, dst NodeID
+	notify   func(Outcome)
+	extra    float64 // delay between landing and notice (reordering)
+	result   Outcome
+	pathBuf  [5]*Resource
+}
+
+// flowPhase selects what a flow's event does when it fires.
+type flowPhase uint8
+
+const (
+	// phaseFabric: the flow's bytes should have landed; the fabric
+	// finishes it (or reschedules, if a reallocation slowed it).
+	phaseFabric flowPhase = iota
+	// phaseLaunch: the NIC-pipeline latency has passed; the cluster starts
+	// the fabric flow unless the path broke meanwhile.
+	phaseLaunch
+	// phaseNotify: the transfer reports its result to its callback.
+	phaseNotify
+)
+
+func newFlow(sim *Sim, size float64) *Flow {
+	fl := &Flow{remaining: size}
+	fl.ev = Event{sim: sim, owner: fl, index: -1}
+	return fl
+}
+
+// fire runs the flow's current phase; Sim.Step calls it for flow events.
+func (fl *Flow) fire() {
+	switch fl.phase {
+	case phaseFabric:
+		fl.fab.finish(fl)
+	case phaseLaunch:
+		fl.cluster.start(fl)
+	default:
+		fl.notify(fl.result)
+	}
 }
 
 // Rate returns the flow's current allocated rate in bytes per second.
@@ -105,35 +157,35 @@ func (f *Flow) Rate() float64 { return f.rate }
 // When a flow starts or finishes, only the connected component of flows that
 // transitively share resources with it is re-allocated, which keeps large
 // simulations (hundreds of nodes, each with an isolated sender/receiver pair)
-// cheap.
+// cheap. Every per-event pass is O(component): nothing scans the registries.
 type Fabric struct {
 	sim    *Sim
 	nextID int64
 
-	// gen numbers the traversal passes; resources and flows stamped with
-	// the current gen are "in the working set" without any map.
+	// gen numbers the traversal passes; resources stamped with the current
+	// gen are "in the working set" without any map.
 	gen uint64
 
 	// allFlows is the id-ordered registry of flows the fabric has routed:
-	// ids are handed out monotonically and flows append at the tail, so
-	// the slice is always sorted and component() recovers id order by
-	// filtering it instead of sorting — the sort was a quarter of the
-	// event-loop cost at 500+ nodes. Finished flows linger marked until
-	// the registry is half dead, then one compaction sweep drops them.
+	// ids are handed out monotonically and flows append at the tail, so a
+	// flow's slot (its index here) orders flows by id. Finished flows linger
+	// until the registry is half dead; one compaction sweep then drops them
+	// and renumbers the survivors' slots.
 	allFlows     []*Flow
 	finishedDead int
 
-	// allResources is the name-ordered registry of resources the fabric
-	// has routed across (insertion-sorted once per resource lifetime), so
-	// reallocate recovers the deterministic name order by filtering it
-	// instead of re-sorting the working set on every flow event.
+	// marks is component's bitmap over allFlows slots. Every call clears
+	// the bits it set, so it is all-zero between calls.
+	marks []uint64
+
+	// allResources is the name-ordered registry of resources the fabric has
+	// routed across; each resource's order field is its index here.
 	allResources []*Resource
 
 	// Traversal and reallocate scratch, reused across calls to keep the
 	// per-flow-event allocation count flat in large simulations. Safe
 	// because the fabric is driven from the single-threaded event loop and
 	// neither component nor reallocate reenters itself.
-	resources []*Resource
 	states    []resState
 	prevRates []float64
 	compFlows []*Flow
@@ -142,12 +194,13 @@ type Fabric struct {
 }
 
 // shareEntry is one lazy min-heap entry of the waterfill: a resource (by
-// working-set index, which is name order) keyed by the fair share it offered
-// when pushed. Max-min shares are monotone non-decreasing as flows fix, so a
-// popped entry whose share went stale is simply re-pushed with its current
-// share — the heap never has to delete.
+// working-set index) keyed by the fair share it offered when pushed, with
+// ties broken by the resource's name order. Max-min shares are monotone
+// non-decreasing as flows fix, so a popped entry whose share went stale is
+// simply re-pushed with its current share — the heap never has to delete.
 type shareEntry struct {
 	share float64
+	order int32
 	idx   int32
 }
 
@@ -163,16 +216,27 @@ func (f *Fabric) StartFlow(size float64, path []*Resource, onDone func()) *Flow 
 	if len(path) == 0 {
 		panic("simnet: flow path must contain at least one resource")
 	}
-	fl := &Flow{
-		id:         f.nextID,
-		remaining:  size,
-		path:       path,
-		lastUpdate: f.sim.Now(),
-		onDone:     onDone,
-	}
-	fl.done.bind(f.sim, func() { f.finish(fl) })
+	fl := newFlow(f.sim, size)
+	fl.path = path
+	fl.onDone = onDone
+	f.start(fl)
+	return fl
+}
+
+// start routes a flow whose size and path are set: it takes the next id,
+// joins the registry and its path's resources, and re-allocates the
+// component it lands in.
+func (f *Fabric) start(fl *Flow) {
+	fl.id = f.nextID
 	f.nextID++
+	fl.fab = f
+	fl.phase = phaseFabric
+	fl.lastUpdate = f.sim.Now()
+	fl.slot = len(f.allFlows)
 	f.allFlows = append(f.allFlows, fl)
+	if fl.slot>>6 >= len(f.marks) {
+		f.marks = append(f.marks, 0)
+	}
 	comp := f.component(fl.path)
 	f.settle(comp)
 	for _, r := range fl.path {
@@ -184,7 +248,6 @@ func (f *Fabric) StartFlow(size float64, path []*Resource, onDone func()) *Flow 
 	}
 	comp = append(comp, fl)
 	f.reallocate(comp)
-	return fl
 }
 
 // Cancel aborts a flow in progress (used for link/node failure injection).
@@ -193,11 +256,11 @@ func (f *Fabric) Cancel(fl *Flow) {
 	if fl.finished {
 		return
 	}
-	fl.done.Cancel()
+	fl.ev.Cancel()
 	comp := f.component(fl.path)
 	f.settle(comp)
-	// Retire only after component() has filtered the registry: compaction
-	// must not drop the flow from its own component.
+	// Retire only after component() has read the registry: compaction
+	// renumbers slots and must not drop the flow from its own component.
 	f.retireFlow(fl)
 	for _, r := range fl.path {
 		r.removeFlow(fl)
@@ -221,12 +284,17 @@ func (f *Fabric) finish(fl *Flow) {
 		r.removeFlow(fl)
 	}
 	f.reallocate(remove(comp, fl))
+	if fl.cluster != nil {
+		fl.cluster.landed(fl)
+		return
+	}
 	fl.onDone()
 }
 
 // retireFlow marks a flow finished and compacts the id-ordered registry once
-// it is mostly dead, keeping StartFlow's append-only invariant (compaction
-// preserves order) and bounding registry growth over long runs.
+// it is mostly dead, keeping start's append-only invariant (compaction
+// preserves order, so slots still order flows by id) and bounding registry
+// growth over long runs.
 func (f *Fabric) retireFlow(fl *Flow) {
 	fl.finished = true
 	f.finishedDead++
@@ -234,6 +302,7 @@ func (f *Fabric) retireFlow(fl *Flow) {
 		live := f.allFlows[:0]
 		for _, g := range f.allFlows {
 			if !g.finished {
+				g.slot = len(live)
 				live = append(live, g)
 			}
 		}
@@ -244,20 +313,28 @@ func (f *Fabric) retireFlow(fl *Flow) {
 }
 
 // registerResource inserts a newly routed resource into the name-ordered
-// registry. Runs once per resource lifetime, so the linear insert is fine.
+// registry and renumbers the ranks at and after it. Runs once per resource
+// lifetime, so the linear insert is fine.
 func (f *Fabric) registerResource(r *Resource) {
 	i, _ := slices.BinarySearchFunc(f.allResources, r, func(a, b *Resource) int {
 		return strings.Compare(a.name, b.name)
 	})
 	f.allResources = slices.Insert(f.allResources, i, r)
+	for j := i; j < len(f.allResources); j++ {
+		f.allResources[j].order = int32(j)
+	}
 }
 
 // component gathers every flow that transitively shares a resource with the
-// given path.
+// given path, in id order. The traversal sets one bit per member in the slot
+// bitmap; reading the set bits back between the lowest and highest touched
+// word yields the members in slot — that is, id — order and clears the
+// bitmap, in O(component + span/64) with no sort and no registry scan.
 func (f *Fabric) component(path []*Resource) []*Flow {
 	f.gen++
 	gen := f.gen
-	flows := f.compFlows[:0]
+	marks := f.marks
+	lo, hi := len(marks), -1
 	stack := f.compStack[:0]
 	for _, r := range path {
 		if r.visitGen != gen {
@@ -269,11 +346,12 @@ func (f *Fabric) component(path []*Resource) []*Flow {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, fl := range r.flows {
-			if fl.visitGen == gen {
+			w, bit := fl.slot>>6, uint64(1)<<(fl.slot&63)
+			if marks[w]&bit != 0 {
 				continue
 			}
-			fl.visitGen = gen
-			flows = append(flows, fl)
+			marks[w] |= bit
+			lo, hi = min(lo, w), max(hi, w)
 			for _, rr := range fl.path {
 				if rr.visitGen != gen {
 					rr.visitGen = gen
@@ -282,18 +360,13 @@ func (f *Fabric) component(path []*Resource) []*Flow {
 			}
 		}
 	}
-	// Recover deterministic id order by filtering the id-sorted registry
-	// for the marked flows instead of sorting the discovery-ordered set —
-	// O(total live flows) beats O(component · log component) once the
-	// component spans most of the fabric.
-	n := len(flows)
-	flows = flows[:0]
-	for _, fl := range f.allFlows {
-		if fl.visitGen == gen {
-			flows = append(flows, fl)
-			if len(flows) == n {
-				break
-			}
+	flows := f.compFlows[:0]
+	for w := lo; w <= hi; w++ {
+		m := marks[w]
+		marks[w] = 0
+		for m != 0 {
+			flows = append(flows, f.allFlows[w<<6|bits.TrailingZeros64(m)])
+			m &= m - 1
 		}
 	}
 	f.compFlows = flows
@@ -317,10 +390,10 @@ func (f *Fabric) settle(flows []*Flow) {
 }
 
 // reallocate runs max-min waterfilling over the component and reschedules
-// each member flow's completion event. Its working set (resource index,
-// per-resource residual state, previous rates) lives on the Fabric and is
-// reused across calls, so a steady stream of flow events allocates nothing
-// here once the scratch has grown to the component size.
+// each member flow's completion event. Its working set (per-resource residual
+// state in discovery order, previous rates) lives on the Fabric and is reused
+// across calls, so a steady stream of flow events allocates nothing here once
+// the scratch has grown to the component size.
 func (f *Fabric) reallocate(flows []*Flow) {
 	if len(flows) == 0 {
 		return
@@ -328,36 +401,16 @@ func (f *Fabric) reallocate(flows []*Flow) {
 	f.gen++
 	gen := f.gen
 	f.prevRates = f.prevRates[:0]
-	need := 0
+	f.states = f.states[:0]
 	for _, fl := range flows {
 		f.prevRates = append(f.prevRates, fl.rate)
 		fl.fixed = false
 		for _, r := range fl.path {
 			if r.scratchGen != gen {
 				r.scratchGen = gen
-				need++
+				r.scratchIdx = int32(len(f.states))
+				f.states = append(f.states, resState{res: r, cap: r.capacity})
 			}
-		}
-	}
-	// Deterministic bottleneck order: ties in fair share resolve by resource
-	// name, independent of discovery order. The name order comes free from
-	// filtering the sorted registry for the marked resources — no per-event
-	// sort.
-	f.resources = f.resources[:0]
-	f.states = f.states[:0]
-	for _, r := range f.allResources {
-		if r.scratchGen != gen {
-			continue
-		}
-		r.scratchIdx = int32(len(f.resources))
-		f.resources = append(f.resources, r)
-		f.states = append(f.states, resState{cap: r.capacity})
-		if len(f.resources) == need {
-			break
-		}
-	}
-	for _, fl := range flows {
-		for _, r := range fl.path {
 			f.states[r.scratchIdx].count++
 		}
 	}
@@ -368,11 +421,13 @@ func (f *Fabric) reallocate(flows []*Flow) {
 	// to k of count flows leaves (cap-ks)/(count-k) ≥ s when s ≤ cap/count),
 	// so a popped entry whose stored share no longer matches is stale — its
 	// real share grew — and is re-pushed at the current value. A popped entry
-	// that validates is the true minimum, and the (share, index) key order
-	// reproduces the linear scan's first-smallest-name tie-break exactly.
+	// that validates is the true minimum. Ties in fair share resolve by
+	// resource name, independent of discovery order: the (share, order) key
+	// reproduces a name-ordered linear scan's first-smallest tie-break.
 	f.heap = f.heap[:0]
 	for i := range f.states {
-		f.heapPush(shareEntry{f.states[i].cap / float64(f.states[i].count), int32(i)})
+		st := &f.states[i]
+		f.heapPush(shareEntry{st.cap / float64(st.count), st.res.order, int32(i)})
 	}
 	unfixed := len(flows)
 	for unfixed > 0 && len(f.heap) > 0 {
@@ -382,11 +437,11 @@ func (f *Fabric) reallocate(flows []*Flow) {
 			continue
 		}
 		if cur := st.cap / float64(st.count); cur != e.share {
-			f.heapPush(shareEntry{cur, e.idx})
+			f.heapPush(shareEntry{cur, e.order, e.idx})
 			continue
 		}
 		share := e.share
-		for _, fl := range f.resources[e.idx].flows {
+		for _, fl := range st.res.flows {
 			if fl.fixed {
 				continue
 			}
@@ -410,7 +465,7 @@ func (f *Fabric) reallocate(flows []*Flow) {
 		// completion time is identical. A completion that already fired
 		// (finish found the flow not yet finishable) is not queued and
 		// must be rescheduled whatever the rate.
-		if fl.done.Scheduled() && sameRate(fl.rate, f.prevRates[i]) {
+		if fl.ev.Scheduled() && sameRate(fl.rate, f.prevRates[i]) {
 			continue
 		}
 		f.scheduleCompletion(fl)
@@ -437,7 +492,7 @@ func (f *Fabric) scheduleCompletion(fl *Flow) {
 	if !f.finishable(fl) {
 		eta = fl.remaining / fl.rate
 	}
-	fl.done.Schedule(f.sim.now + eta)
+	fl.ev.Schedule(f.sim.now + eta)
 }
 
 // finishable reports whether a flow's residual bytes are beyond the clock's
@@ -455,12 +510,13 @@ func (f *Fabric) finishable(fl *Flow) bool {
 }
 
 type resState struct {
+	res   *Resource
 	cap   float64
 	count int
 }
 
 func shareLess(a, b shareEntry) bool {
-	return a.share < b.share || (a.share == b.share && a.idx < b.idx)
+	return a.share < b.share || (a.share == b.share && a.order < b.order)
 }
 
 func (f *Fabric) heapPush(e shareEntry) {

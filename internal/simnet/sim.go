@@ -37,7 +37,8 @@ type Sim struct {
 }
 
 // entry is one queued callback. ev is the owning handle of a cancellable
-// event, nil for a fire-and-forget one.
+// event, nil for a fire-and-forget one; fn is nil for an event owned by a
+// flow, which Step dispatches to the flow instead.
 type entry struct {
 	time float64
 	seq  int64
@@ -84,9 +85,7 @@ func (s *Sim) After(d float64, fn func()) {
 // NewEvent returns an unscheduled, reusable handle that runs fn each time it
 // fires.
 func (s *Sim) NewEvent(fn func()) *Event {
-	ev := &Event{}
-	ev.bind(s, fn)
-	return ev
+	return &Event{sim: s, fn: fn, index: -1}
 }
 
 // Run executes events until the queue is empty and returns the final time.
@@ -118,7 +117,11 @@ func (s *Sim) Step() bool {
 	e := s.events[0]
 	s.removeAt(0)
 	s.now = e.time
-	e.fn()
+	if e.fn != nil {
+		e.fn()
+	} else {
+		e.ev.owner.fire()
+	}
 	return true
 }
 
@@ -141,16 +144,15 @@ func (s *Sim) nextSeq() int64 {
 
 // Event is a handle to a cancellable callback. It can be scheduled, moved
 // and cancelled any number of times; it is queued at most once at a time.
+//
+// An event embedded in a Flow has no callback: it fires the flow's current
+// phase (Flow.fire), so the flow needs no closure of its own.
 type Event struct {
 	sim   *Sim
 	fn    func()
+	owner *Flow
 	time  float64
 	index int // heap slot while queued, -1 otherwise
-}
-
-// bind initialises an Event embedded in another value.
-func (e *Event) bind(s *Sim, fn func()) {
-	*e = Event{sim: s, fn: fn, index: -1}
 }
 
 // Schedule queues the event for absolute virtual time t (clamped to now), or

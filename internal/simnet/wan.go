@@ -231,61 +231,79 @@ func (c *Cluster) reorderDelay(src, dst NodeID) float64 {
 // on; break-semantics callers use Transfer, which maps loss to breakage as
 // RC retry exhaustion would.
 func (c *Cluster) TransferFrame(src, dst NodeID, size float64, onDone func(Outcome)) {
-	c.frame(src, dst, size, true, onDone)
+	c.Frame(src, dst, size, true, onDone)
 }
 
-// frame is the shared implementation under Transfer (tolerant=false: a lossy
-// drop is NIC retry exhaustion, surfaced as OutcomeBroken after the retry
-// timeout) and TransferFrame (tolerant=true: a lossy drop surfaces as
-// OutcomeLost without condemning the connection). All random draws happen at
-// call time, in a fixed order (loss, then reorder), from the profile's
-// dedicated source — the determinism contract.
-func (c *Cluster) frame(src, dst NodeID, size float64, tolerant bool, onDone func(Outcome)) {
+// Frame is the transfer under Transfer (tolerant=false: a lossy drop is NIC
+// retry exhaustion, surfaced as OutcomeBroken after the retry timeout) and
+// TransferFrame (tolerant=true: a lossy drop surfaces as OutcomeLost without
+// condemning the connection). Callers that keep one bound onDone per frame
+// call it directly: the whole transfer is then a single Flow allocation. All
+// random draws happen at call time, in a fixed order (loss, then reorder),
+// from the profile's dedicated source — the determinism contract.
+func (c *Cluster) Frame(src, dst NodeID, size float64, tolerant bool, onDone func(Outcome)) {
+	fl := newFlow(c.sim, size)
+	fl.cluster, fl.src, fl.dst, fl.notify = c, src, dst, onDone
 	switch c.frameFate(src, dst, c.pathLoss(src, dst)) {
 	case OutcomeBroken:
-		c.sim.After(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
+		fl.notifyAfter(c.cfg.RetryTimeout, OutcomeBroken)
 		return
 	case OutcomeLost:
 		if !tolerant {
 			// Break semantics: the NIC's hardware retries cannot recover on
 			// a fabric modelled without them, so a drop is retry exhaustion.
-			c.sim.After(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
+			fl.notifyAfter(c.cfg.RetryTimeout, OutcomeBroken)
 			return
 		}
 		// The frame crosses the fabric and is dropped downstream: charge
 		// propagation and bandwidth, then report the loss at the time the
 		// last byte would have landed.
-		c.launch(src, dst, size, 0, OutcomeLost, onDone)
+		c.launch(fl, 0, OutcomeLost)
 		return
 	}
-	c.launch(src, dst, size, c.reorderDelay(src, dst), OutcomeDelivered, onDone)
+	c.launch(fl, c.reorderDelay(src, dst), OutcomeDelivered)
 }
 
-// launch charges the path latency, re-checks for breakage (the path may have
-// been severed while the frame was in the NIC pipeline), and runs the frame
-// as a fabric flow. onDone fires with result extra seconds after the flow
-// completes, or with OutcomeBroken (after the retry timeout) if the path is
-// severed before or during the flow.
-func (c *Cluster) launch(src, dst NodeID, size, extra float64, result Outcome, onDone func(Outcome)) {
-	if src == dst {
-		c.sim.After(c.pathLatency(src, dst)+extra, func() { onDone(result) })
+// launch charges the path latency; start then re-checks for breakage (the
+// path may have been severed while the frame was in the NIC pipeline) and
+// runs the frame as a fabric flow. The transfer reports result extra
+// seconds after the flow completes, or OutcomeBroken (after the retry
+// timeout) if the path is severed before or during the flow.
+//
+// Each phase moves the flow's one event where a fire-and-forget After used
+// to be queued, taking its sequence number at the same point, so the
+// event tie order is that of a closure per phase.
+func (c *Cluster) launch(fl *Flow, extra float64, result Outcome) {
+	fl.extra, fl.result = extra, result
+	if fl.src == fl.dst {
+		fl.notifyAfter(c.pathLatency(fl.src, fl.dst)+extra, result)
 		return
 	}
-	path := c.path(src, dst)
-	c.sim.After(c.pathLatency(src, dst), func() {
-		if c.pairBroken(src, dst) {
-			c.sim.After(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
-			return
-		}
-		var fl *Flow
-		fl = c.fabric.StartFlow(size, path, func() {
-			delete(c.inFlight, fl)
-			if extra > 0 {
-				c.sim.After(extra, func() { onDone(result) })
-				return
-			}
-			onDone(result)
-		})
-		c.inFlight[fl] = transferState{src: src, dst: dst, onDone: onDone}
-	})
+	fl.path = c.appendPath(fl.pathBuf[:0], fl.src, fl.dst)
+	fl.phase = phaseLaunch
+	fl.ev.Schedule(c.sim.now + c.pathLatency(fl.src, fl.dst))
+}
+
+// start ends the launch phase.
+func (c *Cluster) start(fl *Flow) {
+	if c.pairBroken(fl.src, fl.dst) {
+		fl.notifyAfter(c.cfg.RetryTimeout, OutcomeBroken)
+		return
+	}
+	c.fabric.start(fl)
+}
+
+// landed ends the fabric phase: the last byte arrived.
+func (c *Cluster) landed(fl *Flow) {
+	if fl.extra > 0 {
+		fl.notifyAfter(fl.extra, fl.result)
+		return
+	}
+	fl.notify(fl.result)
+}
+
+// notifyAfter reports o to the transfer's callback d seconds from now.
+func (fl *Flow) notifyAfter(d float64, o Outcome) {
+	fl.phase, fl.result = phaseNotify, o
+	fl.ev.Schedule(fl.ev.sim.now + d)
 }
